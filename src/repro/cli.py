@@ -63,6 +63,7 @@ import numpy as np
 from .baselines import CpAls, SHot, TuckerAls, TuckerCsf, TuckerWopt
 from .columns import INDEX_DTYPE_POLICIES
 from .core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig, TuckerResult
+from .core.config import DEFAULT_BLOCK_SIZE
 from .core.sampled import PTuckerSampled
 from .kernels.backends import backend_names_for_cli
 from .model_io import load_model, load_result, save_model
@@ -327,10 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
     update.add_argument(
         "--block-size",
         type=int,
-        default=200_000,
+        default=DEFAULT_BLOCK_SIZE,
         help="entries per streamed block during the re-solves; matching "
         "the fit's block size makes the touched rows bitwise-equal to a "
-        "full sweep's (default 200000)",
+        f"full sweep's (default {DEFAULT_BLOCK_SIZE})",
     )
 
     compact = subparsers.add_parser(

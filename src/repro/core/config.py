@@ -7,6 +7,11 @@ from typing import Optional, Sequence, Tuple
 
 from ..exceptions import ShapeError
 
+#: Entries per block of a mode sweep (see ``PTuckerConfig.block_size``) —
+#: the one default of the config, the row update, the sharded executor,
+#: targeted re-solves and the CLI.
+DEFAULT_BLOCK_SIZE = 200_000
+
 
 @dataclass(frozen=True)
 class PTuckerConfig:
@@ -46,6 +51,15 @@ class PTuckerConfig:
         Optional intermediate-data budget; exceeding it raises
         :class:`~repro.exceptions.OutOfMemoryError` (used to reproduce the
         paper's O.O.M. results).
+    block_size:
+        Entries per block of each mode sweep (default
+        :data:`DEFAULT_BLOCK_SIZE`).  It is the streaming unit — one block
+        of indices, values and δ vectors is resident at a time, in core or
+        read from shards — and the bitwise boundary: fits, sharded sweeps,
+        re-solves and checkpoints agree bit for bit only at equal
+        ``block_size``, so it is part of the checkpoint digest.  It does
+        not set the contraction's cache footprint: the kernels walk each
+        block in L2-sized row tiles whatever its size.
     backend:
         Kernel execution strategy for the row update: ``"numpy"`` (default),
         ``"threaded"``, ``"numba"`` (falls back to numpy where the JIT stack
@@ -117,7 +131,7 @@ class PTuckerConfig:
     min_iterations: int = 1
     track_memory: bool = True
     memory_budget_bytes: Optional[int] = None
-    block_size: int = 200_000
+    block_size: int = DEFAULT_BLOCK_SIZE
     backend: str = "numpy"
     shard_dir: Optional[str] = None
     shard_nnz: int = 1_000_000

@@ -61,6 +61,7 @@ from ..kernels import (  # noqa: F401 - re-exported for downstream callers
 from ..kernels.backends import BackendSpec
 from ..metrics.memory import BYTES_PER_FLOAT, MemoryTracker
 from ..tensor.coo import SparseTensor
+from .config import DEFAULT_BLOCK_SIZE
 
 
 @dataclass
@@ -228,7 +229,7 @@ def update_factor_mode(
     mode: int,
     regularization: float,
     context: Optional[ModeContext] = None,
-    block_size: int = 200_000,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     memory: Optional[MemoryTracker] = None,
     delta_provider=None,
     kernel: str = "contracted",
@@ -243,6 +244,12 @@ def update_factor_mode(
     ordering, and must return the ``(m, J_mode)`` δ block.  When omitted the
     deltas are computed from the core and factor matrices directly
     (the default P-Tucker path).
+
+    ``block_size`` is the number of mode-sorted entries handed to the
+    kernel per call: the streaming unit (one block is resident at a time)
+    and the boundary that bitwise equality between runs is defined over.
+    It does not size the contraction's cache footprint — the kernels walk
+    each block in L2-sized row tiles (see :mod:`repro.kernels.contraction`).
 
     ``kernel`` selects the inner-loop implementation: ``"contracted"``
     (default) uses the progressive core contraction and segment-sorted

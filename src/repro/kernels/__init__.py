@@ -36,8 +36,14 @@ Per block of ``m`` entries the seed path costs
 ``O(nnz · Π J)`` per sweep with a full-width temporary per entry.  The
 contraction schedule performs the same ``O(m · |G|)`` leading GEMM but every
 later step operates on a strictly smaller tensor, giving
-``O(nnz · Σ_k |G| / Π_{j<k} J_j)  ≈  O(nnz · Σ J · max|G|/J)`` time with a
-largest temporary of ``O(m · |G| / max_k J_k)`` — and for the reductions,
+``O(nnz · Σ_k |G| / Π_{j<k} J_j)  ≈  O(nnz · Σ J · max|G|/J)`` time.  The
+largest temporary, ``O(m · |G| / max_k J_k)`` per block, is capped by row
+tiles: gather- and einsum-first plans contract at most
+``CONTRACT_TILE_BYTES`` (1 MiB, half a 2 MiB per-core L2) of it at a time,
+so it stays cache resident and independent of ``block_size``; only the
+``(m, J_n)`` result scales with the block.  BLAS-GEMM-first plans, whose
+per-row bits depend on how BLAS cuts ``m``, keep whole blocks.  For the
+reductions,
 ``np.add.reduceat`` segment sums over mode-sorted entries replace
 ``np.add.at`` scatter-adds (which degrade to per-element scalar dispatch),
 while per-row Gram matrices are accumulated as segmented δᵀδ products so the

@@ -19,6 +19,24 @@ complementary contraction strategies are combined per mode:
 Every step removes one mode, so the per-entry intermediate only shrinks —
 the ``(m, Π_{k≠n} J_k)`` Kronecker matrix of the seed kernel never exists.
 
+Row tiles
+---------
+The widest intermediate is still the first step's ``(m, Π rest)`` matrix —
+~160 MB for a 200k-entry block at rank 10 — which streams through DRAM
+between the gather/GEMM that writes it and the einsum that reads it back.
+:meth:`_ContractionPlan.apply` therefore walks a block in row tiles of
+``CONTRACT_TILE_BYTES // (8 · Π rest)`` entries, writing each tile's
+``(t, J)`` result into one ``(m, J)`` output.  At 1 MiB — half of a 2 MiB
+per-core L2 — a tile's intermediate is consumed while still cache
+resident, and the largest transient stays ≤ ~1 MiB whatever the block
+size.  Gathers and einsums are per-row operations, so tiling leaves every
+bit of the result unchanged.  A plan whose first step is a BLAS GEMM is
+the exception and runs each block whole: a threaded BLAS splits ``m``
+across threads and microkernel panels whose edge rows take a differently
+ordered reduction, so re-cutting ``m`` can move the last ulp of a row.
+The solvers' ``block_size`` governs only the streamed working set and the
+boundaries bitwise results are defined over.
+
 See the package docstring of :mod:`repro.kernels` for the complexity
 comparison against the seed Kronecker kernel.
 """
@@ -35,6 +53,11 @@ from ..columns import as_index_block
 #: the hybrid never trades the eliminated Kronecker intermediate for an
 #: equally large table on wide-dimension modes.
 PRECONTRACT_CELL_BUDGET = 1 << 21
+
+#: Bytes of first-step intermediate one row tile of :meth:`_ContractionPlan.apply`
+#: may hold (1 MiB: half of a 2 MiB per-core L2, leaving the other half to
+#: the gathered factor rows, the table rows and the tile's result).
+CONTRACT_TILE_BYTES = 1 << 20
 
 
 class _ContractionPlan:
@@ -64,6 +87,9 @@ class _ContractionPlan:
         "rest",
         "loop_modes",
         "batch_invariant",
+        "width",
+        "out_width",
+        "tiled",
     )
 
     def __init__(
@@ -127,9 +153,37 @@ class _ContractionPlan:
             self.pre_dims = ()
             self.flat = None
             self.loop_modes = batch
+        # Cells per entry of the first-step intermediate (the row tile's
+        # sizing unit) and of the result (the kept rank, or 1 for values).
+        self.width = int(np.prod(self.rest, dtype=np.int64))
+        self.out_width = self.rest[0] if kept else 1
+        # A BLAS GEMM's per-row result depends on where its threaded
+        # partition and microkernel panels fall along m, so a BLAS-first
+        # plan runs each block whole; gathers and einsums are per-row.
+        self.tiled = bool(pre) or self.batch_invariant
 
     def apply(self, indices_block: np.ndarray) -> np.ndarray:
-        """Contract the planned modes for one ``(m, N)`` entry block."""
+        """Contract the planned modes for one ``(m, N)`` entry block.
+
+        Gather- and einsum-first plans walk the block in row tiles of at
+        most :data:`CONTRACT_TILE_BYTES` of first-step intermediate, each
+        tile's ``(t, J)`` result landing in one ``(m, J)`` output; every
+        row goes through exactly the arithmetic of an untiled call, so the
+        result is bitwise-identical to it.  Blocks no taller than one tile
+        (serving's micro-batches) and BLAS-first plans run untiled.
+        """
+        n_entries = indices_block.shape[0]
+        tile = max(1, CONTRACT_TILE_BYTES // (8 * self.width))
+        if n_entries <= tile or not self.tiled:
+            return self._apply_tile(indices_block)
+        out = np.empty((n_entries, self.out_width), dtype=np.float64)
+        for start in range(0, n_entries, tile):
+            stop = min(start + tile, n_entries)
+            out[start:stop] = self._apply_tile(indices_block[start:stop])
+        return out
+
+    def _apply_tile(self, indices_block: np.ndarray) -> np.ndarray:
+        """The untiled contraction of one ``(t, N)`` row tile."""
         n_entries = indices_block.shape[0]
         factors = self.factors
         if self.pre:

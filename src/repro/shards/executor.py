@@ -39,7 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.config import PTuckerConfig
+from ..core.config import DEFAULT_BLOCK_SIZE, PTuckerConfig
 from ..core.core_tensor import initialize_core, initialize_factors, orthogonalize
 from ..core.result import TuckerResult
 from ..core.row_update import update_factor_mode
@@ -64,17 +64,19 @@ class ShardedSweepExecutor:
         ``backend=`` spec accepted by
         :func:`~repro.kernels.backends.resolve_backend`.
     block_size:
-        Entries materialised per streamed block.  Matching the in-core
-        solver's ``block_size`` makes the sweep bitwise-equal to the
-        in-core result; smaller values trade a little dispatch overhead
-        for a smaller resident working set.
+        Entries materialised per streamed block — the streaming unit and
+        the bitwise boundary.  Matching the in-core solver's
+        ``block_size`` makes the sweep bitwise-equal to the in-core
+        result; smaller values trade a little dispatch overhead for a
+        smaller resident working set.  The contraction's cache footprint
+        does not depend on it (the kernels tile each block internally).
     """
 
     def __init__(
         self,
         store: ShardStore,
         backend: BackendSpec = "numpy",
-        block_size: int = 200_000,
+        block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be positive")

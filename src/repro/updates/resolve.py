@@ -33,11 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.config import DEFAULT_BLOCK_SIZE
 from ..kernels.backends import resolve_backend
 from .deltalog import DeltaLog
 from .union import UnionEntrySource
-
-DEFAULT_BLOCK_SIZE = 200_000
 
 
 def solve_touched_rows(

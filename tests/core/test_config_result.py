@@ -1,5 +1,7 @@
 """Tests for PTuckerConfig validation and the TuckerResult/trace objects."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,27 @@ class TestConfigValidation:
         changed = base.with_updates(max_iterations=5)
         assert changed.max_iterations == 5
         assert base.max_iterations == 20
+
+
+def test_block_size_defaults_agree():
+    """Every block loop and entry point defaults to the one block size."""
+    from repro.cli import _build_parser
+    from repro.core.config import DEFAULT_BLOCK_SIZE
+    from repro.core.row_update import update_factor_mode
+    from repro.shards.executor import ShardedSweepExecutor
+    from repro.updates.resolve import apply_delta, solve_touched_rows
+
+    def default(function):
+        return inspect.signature(function).parameters["block_size"].default
+
+    cli = _build_parser().parse_args(["update", "store", "delta.rcoo"])
+    assert DEFAULT_BLOCK_SIZE == 200_000
+    assert PTuckerConfig().block_size == DEFAULT_BLOCK_SIZE
+    assert default(update_factor_mode) == DEFAULT_BLOCK_SIZE
+    assert default(ShardedSweepExecutor.__init__) == DEFAULT_BLOCK_SIZE
+    assert default(solve_touched_rows) == DEFAULT_BLOCK_SIZE
+    assert default(apply_delta) == DEFAULT_BLOCK_SIZE
+    assert cli.block_size == DEFAULT_BLOCK_SIZE
 
 
 class TestTrace:
