@@ -4,10 +4,14 @@
 process: its pipes, an incremental :class:`~repro.fabric.protocol.FrameReader`
 over its protocol channel, non-blocking buffered writes to its stdin, and
 the liveness bookkeeping (last heartbeat, spawn grace, current task) the
-supervisor's state machine reads.  Writes are buffered and flushed
-opportunistically so the supervisor can never deadlock against a worker
-that stopped reading — a SIGSTOPped worker simply accumulates outbound
-bytes until the missed heartbeats get it killed.
+supervisor's state machine reads.  Writes never block: a send writes
+what the pipe takes at once and buffers the rest in ``outbuf``.  The
+supervisor's ``select`` wakes when a worker pipe is readable, when the
+stdin of a handle with buffered bytes is writable (the next pipe-full
+moves on), at the earliest timer, or at its 50 ms cap.  It can never
+deadlock against a worker that stopped reading — a SIGSTOPped worker's
+stdin never turns writable, its buffered bytes simply wait until the
+missed heartbeats get it killed.
 
 :class:`WorkerPool` owns a fixed number of worker *slots*.  A slot whose
 process died is respawned after a backoff delay with decorrelated jitter
@@ -284,9 +288,15 @@ class WorkerPool:
         return self._seq
 
     def all_acked(self) -> bool:
-        """Every slot is live and has applied the full setup log."""
+        """Every slot is live, said ``HELLO`` and applied the setup log.
+
+        ``HELLO`` matters when the log is empty: ``acked_seq`` 0 would
+        otherwise count a worker that is still starting up as ready.
+        """
         return all(
-            slot.handle is not None and slot.handle.acked_seq >= self._seq
+            slot.handle is not None
+            and slot.handle.hello_seen
+            and slot.handle.acked_seq >= self._seq
             for slot in self.slots
         )
 

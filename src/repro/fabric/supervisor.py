@@ -28,6 +28,18 @@ suite asserts exactly that against undisturbed runs.
 Exceptions *raised by* a task (an ``ERROR`` frame, as opposed to a death)
 are deterministic bugs: they propagate immediately with the remote
 traceback attached, never retried.
+
+The loop is event-driven and never polls with a zero timeout.  Each step
+sleeps in ``select`` until a worker pipe is **readable** (a result,
+acknowledgement or heartbeat arrived), the stdin of a worker with
+buffered output is **writable** (the next pipe-full of a large frame can
+move on), or the **earliest timer** is due — a pending respawn or a
+re-dispatch backoff gate — capped at 50 ms so heartbeat, deadline and
+hedge checks keep their timing.  A task that only waits for a free
+worker waits on the readable pipe its freeing ``RESULT`` arrives on, so
+the parent sleeps while its workers compute.  Work is offered only to
+workers that have said ``HELLO``: a task sent to a worker still starting
+up would sit in its pipe while the hedge clock runs.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from __future__ import annotations
 import logging
 import select
 import time
-from typing import Any, Dict, List, NamedTuple, Optional, Set
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from ..exceptions import ReproError
 from ..metrics.timing import Counters
@@ -289,12 +301,21 @@ class TaskSupervisor:
     def _wait_for(
         self, queue: List[Any], states: Dict[Any, _TaskState], now: float
     ) -> float:
+        """Seconds until the next timer that can change the dispatch.
+
+        Only a pending respawn or a backoff gate still in the future
+        shortens the wait.  A queued task that is merely waiting for a
+        free worker must not: the ``RESULT`` that frees one arrives on a
+        readable pipe, which wakes the ``select`` in :meth:`_step`.
+        """
         wait = _MAX_WAIT
         respawn = self.pool.next_respawn_in(now)
         if respawn is not None:
             wait = min(wait, respawn)
         for key in queue:
-            wait = min(wait, max(0.0, states[key].ready_at - now))
+            ready_at = states[key].ready_at
+            if ready_at > now:
+                wait = min(wait, ready_at - now)
         return max(0.0, wait)
 
     def _dispatch(
@@ -304,10 +325,12 @@ class TaskSupervisor:
         now: float,
         hedge: bool,
     ) -> None:
+        # No work before HELLO: it would age in a starting worker's pipe
+        # until an idle peer hedged it.
         idle = [
             handle
             for handle in self.pool.live_handles()
-            if handle.current_task is None
+            if handle.hello_seen and handle.current_task is None
         ]
         for handle in idle:
             key = self._next_queued(queue, states, now)
@@ -365,31 +388,47 @@ class TaskSupervisor:
         return best
 
     def _step(self, wait: float, task_deadline: Optional[float] = None) -> None:
-        """One event-loop iteration: respawn, flush, read, time checks."""
-        now = time.monotonic()
-        self.pool.spawn_missing(now)
+        """One event-loop iteration: respawn, wait, write, read, time checks.
+
+        Sleeps in ``select`` until a worker pipe is readable (a frame
+        arrived), a worker's stdin with buffered output is writable (the
+        next pipe-full of a large frame can move on), or ``wait`` — the
+        earliest timer, capped at :data:`_MAX_WAIT` — runs out.
+        """
+        self.pool.spawn_missing(time.monotonic())
+        readers: Dict[int, WorkerHandle] = {}
+        writers: Dict[int, WorkerHandle] = {}
         for handle in list(self.pool.live_handles()):
-            if not handle.flush():
-                self._on_worker_gone(handle, killed=False, reason="pipe gone")
-        live = self.pool.live_handles()
-        by_fd = {}
-        for handle in live:
             try:
-                by_fd[handle.fileno()] = handle
+                readers[handle.fileno()] = handle
+                if handle.outbuf:
+                    writers[handle.stdin_fileno()] = handle
             except (OSError, ValueError):  # pragma: no cover - defensive
                 self._on_worker_gone(handle, killed=False, reason="pipe gone")
-        if by_fd:
+        readable: List[int] = []
+        writable: List[int] = []
+        if readers:
             try:
-                readable, _, _ = select.select(list(by_fd), [], [], wait)
+                readable, writable, _ = select.select(
+                    list(readers), list(writers), [], wait
+                )
             except OSError:  # a pipe vanished mid-select; next pass reaps it
-                readable = []
-        else:
-            if wait > 0:
-                time.sleep(wait)
-            readable = []
+                pass
+        elif wait > 0:
+            time.sleep(wait)
+        for fd in writable:
+            handle = writers[fd]
+            if self._is_live(handle) and not handle.flush():
+                self._on_worker_gone(handle, killed=False, reason="pipe gone")
         for fd in readable:
-            self._drain(by_fd[fd])
+            handle = readers[fd]
+            if self._is_live(handle):
+                self._drain(handle)
         self._time_checks(task_deadline)
+
+    def _is_live(self, handle: WorkerHandle) -> bool:
+        """False once an earlier event in the same step retired ``handle``."""
+        return self.pool.slots[handle.worker_id].handle is handle
 
     def _drain(self, handle: WorkerHandle) -> None:
         while True:

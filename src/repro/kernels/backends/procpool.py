@@ -13,9 +13,12 @@ its contractor from the same broadcast ``expected_entries``, so the
 the chunking, worker count, or mid-sweep worker deaths.
 
 Compared to ``threaded`` this pays pickling (factors per sweep, entry
-slices per chunk) to buy freedom from the GIL: on multicore hosts where
-the per-segment ``reduceat`` bookkeeping between the GEMMs keeps threads
-serialised, separate interpreters overlap fully.  It also inherits the
+slices per chunk) and worker start-up (a fresh interpreter plus the numpy
+import, once per pool) to buy freedom from the GIL: on multicore hosts
+where the per-segment ``reduceat`` bookkeeping between the GEMMs keeps
+threads serialised, separate interpreters overlap fully.  The supervising
+parent costs next to no CPU: it sleeps in ``select`` while the workers
+compute, so it does not compete with them for a core.  It also inherits the
 fabric's whole failure model — a worker SIGKILLed or hung mid-sweep is
 respawned, the replay log restores its factors, and its chunk is
 re-dispatched with no effect on the output.  With one effective worker
@@ -23,7 +26,9 @@ the backend degrades to the serial reference path and spawns nothing, so
 single-CPU hosts (and CI) see neither process overhead nor a regression.
 
 Worker count resolution: constructor override, else the
-``REPRO_PROC_WORKERS`` environment variable, else the CPU count.
+``REPRO_PROC_WORKERS`` environment variable, else the usable CPU count
+(:func:`repro.metrics.environment.usable_cpus`, which honours
+``taskset`` and cpuset limits).
 """
 
 from __future__ import annotations
@@ -69,14 +74,16 @@ _SUPERVISOR_LOCK = threading.Lock()
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_PROC_WORKERS`` env override, else CPU count."""
+    """Worker count: ``REPRO_PROC_WORKERS`` env override, else usable CPUs."""
     env = os.environ.get(PROC_WORKERS_ENV, "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return max(1, os.cpu_count() or 1)
+    from ...metrics.environment import usable_cpus  # lazy: import cycle
+
+    return usable_cpus()
 
 
 def shared_supervisor(n_workers: int) -> "TaskSupervisor":

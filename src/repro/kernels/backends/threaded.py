@@ -64,14 +64,16 @@ def shared_pool(n_workers: int) -> ThreadPoolExecutor:
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_KERNEL_THREADS`` env override, else CPU count."""
+    """Worker count: ``REPRO_KERNEL_THREADS`` env override, else usable CPUs."""
     env = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return max(1, os.cpu_count() or 1)
+    from ...metrics.environment import usable_cpus  # lazy: import cycle
+
+    return usable_cpus()
 
 
 def chunk_boundaries(

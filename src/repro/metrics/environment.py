@@ -50,6 +50,19 @@ def blas_thread_count() -> Optional[int]:
     return None
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: affinity-aware, never below 1.
+
+    ``os.cpu_count()`` counts the host's CPUs and ignores ``taskset`` and
+    cpuset limits; ``os.sched_getaffinity`` reports the ones the
+    scheduler will actually give us, where the platform has it.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
+
+
 def bench_environment() -> Dict[str, object]:
     """The environment block every ``BENCH_*.json`` artifact embeds.
 

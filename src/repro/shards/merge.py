@@ -72,6 +72,7 @@ from ..columns import (
     index_dtypes_for_shape,
 )
 from ..exceptions import DataFormatError, ShapeError
+from ..metrics.environment import usable_cpus
 from ..resilience.atomic import (
     atomic_save_array,
     fsync_directory,
@@ -109,7 +110,7 @@ def spill_workers() -> int:
     """Threads used for one chunk's per-mode spill sorts.
 
     ``REPRO_SPILL_WORKERS`` overrides (1 forces the serial path — the
-    tests pin it); the default is the CPU count.  The pool is created
+    tests pin it); the default is the usable CPU count.  The pool is created
     lazily once the stream's order is known, capped at one thread per
     mode since one spill task exists per mode.
     """
@@ -119,7 +120,7 @@ def spill_workers() -> int:
             return max(1, int(env))
         except ValueError:
             pass
-    return max(1, os.cpu_count() or 1)
+    return usable_cpus()
 
 
 def _npy_header(handle, shape: Tuple[int, ...], dtype) -> None:

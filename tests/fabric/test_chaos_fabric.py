@@ -7,18 +7,24 @@ death), SIGSTOP (hung: heartbeats stop, process lingers) or a wedge
 drawn from a seeded RNG, and asserts the recovered ``(B, c)`` stacks are
 **byte-identical** to an undisturbed run.  Row/segment independence is
 what makes this possible: re-dispatching a lost chunk to another worker
-replays the exact same IEEE operation sequence.
+replays the exact same IEEE operation sequence.  The last test stops a
+worker while a multi-MiB task frame is still buffered for it, proving the
+supervisor's ``select`` write set cannot hide a stuck worker from the
+heartbeat check.
 
 Marked ``chaos`` (excluded from tier-1): these tests SIGKILL/SIGSTOP
 child processes and take seconds of wall clock on heartbeat timeouts.
 """
+
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from repro.core.core_tensor import initialize_core, initialize_factors
 from repro.core.row_update import build_mode_context
-from repro.fabric import TaskSupervisor
+from repro.fabric import Task, TaskSupervisor
 from repro.fabric.worker import (
     INJECT_AT_ENV,
     INJECT_KILL_ENV,
@@ -144,3 +150,51 @@ def test_wedged_task_is_caught_by_the_deadline(sweep, tmp_path, monkeypatch):
     )
     assert counters.get("fabric.deadline_kills") >= 1
     assert counters.get("fabric.redispatches") >= 1
+
+
+def test_sigstop_with_a_buffered_task_frame_is_caught_by_heartbeats(
+    monkeypatch,
+):
+    """A worker stopped while a multi-MiB task frame still sits in its
+    ``outbuf`` never turns writable, so the write set cannot keep it
+    looking alive: the heartbeat budget kills it and the wave's results
+    stay bitwise equal to an undisturbed run."""
+    tasks = [
+        Task(
+            key=i,
+            fn="tests.fabric.taskfns:double",
+            payload=np.random.default_rng(i).standard_normal(1 << 19),
+        )
+        for i in range(4)
+    ]  # 4 MiB per task frame, far beyond one 64 KiB pipe
+    counters = Counters()
+    with TaskSupervisor(
+        2,
+        heartbeat_interval=0.1,
+        hedge=False,
+        backoff=FAST_BACKOFF,
+        counters=counters,
+        name="chaos",
+    ) as supervisor:
+        assert supervisor.wait_ready(30.0)
+        reference = supervisor.run_tasks(tasks)
+
+        victim = supervisor.pool.live_handles()[0]
+        buffered_at_death = []
+        on_worker_gone = supervisor._on_worker_gone
+
+        def recording(handle, killed, reason):
+            if handle is victim:
+                buffered_at_death.append((reason, len(handle.outbuf)))
+            on_worker_gone(handle, killed=killed, reason=reason)
+
+        monkeypatch.setattr(supervisor, "_on_worker_gone", recording)
+        os.kill(victim.pid, signal.SIGSTOP)
+        disturbed = supervisor.run_tasks(tasks)
+
+    assert [r.tobytes() for r in disturbed] == [r.tobytes() for r in reference]
+    assert counters.get("fabric.workers_hung") == 1
+    assert counters.get("fabric.redispatches") >= 1
+    reason, buffered = buffered_at_death[0]
+    assert reason == "hung"
+    assert buffered > 1 << 20

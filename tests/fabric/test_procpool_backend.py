@@ -122,9 +122,38 @@ class TestWorkerCountResolution:
 
     def test_garbage_env_falls_back_to_cpu_count(self, monkeypatch):
         from repro.kernels.backends.procpool import PROC_WORKERS_ENV
+        from repro.metrics.environment import usable_cpus
 
         monkeypatch.setenv(PROC_WORKERS_ENV, "not-a-number")
-        assert ProcpoolBackend().n_workers == max(1, os.cpu_count() or 1)
+        assert ProcpoolBackend().n_workers == usable_cpus()
+
+    def test_cpu_affinity_of_one_degrades_without_spawning(
+        self, monkeypatch, planted_small
+    ):
+        """Pinned to one CPU (``taskset -c 0``) the default is one worker,
+        however many CPUs the host has, and no process is spawned."""
+        from repro.kernels.backends import procpool
+
+        def no_spawn(n_workers):
+            raise AssertionError("procpool spawned workers on one CPU")
+
+        monkeypatch.delenv(procpool.PROC_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(procpool, "shared_supervisor", no_spawn)
+        backend = ProcpoolBackend()
+        assert backend.n_workers == 1
+        tensor = planted_small.tensor
+        factors = initialize_factors(
+            tensor.shape, (3, 3, 3), np.random.default_rng(0)
+        )
+        core = initialize_core((3, 3, 3), np.random.default_rng(1))
+        b_ref, c_ref = _run_kernel(
+            resolve_backend("numpy"), tensor, factors, core, 0
+        )
+        b_d, c_d = _run_kernel(backend, tensor, factors, core, 0)
+        np.testing.assert_array_equal(b_d, b_ref)
+        np.testing.assert_array_equal(c_d, c_ref)
 
 
 @pytest.mark.slow

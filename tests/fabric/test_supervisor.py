@@ -6,6 +6,8 @@ scenarios (SIGKILL/SIGSTOP/wedge mid-sweep) live in
 ``test_chaos_fabric.py`` behind the ``chaos`` marker.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ FAST_BACKOFF = BackoffPolicy(base=0.01, cap=0.05, jitter="none")
 def supervisor():
     """One warm two-worker pool shared by the happy-path tests."""
     with TaskSupervisor(2, name="test-fabric") as sup:
+        # Every worker said HELLO before the first wave, so a slow starter
+        # cannot lose its first task to a hedge and skew later tests.
+        assert sup.wait_ready(30.0)
         yield sup
 
 
@@ -183,3 +188,61 @@ class TestHedging:
             results = sup.run_tasks(_tasks("sleep_ms", [150]))
         assert results == [150]
         assert counters.get("fabric.hedges") == 0
+
+
+class TestReadiness:
+    def test_not_ready_before_hello(self):
+        """An empty setup log must not count a starting worker as ready."""
+        with TaskSupervisor(2, name="test-fabric-cold") as sup:
+            handles = sup.pool.live_handles()
+            assert not any(handle.hello_seen for handle in handles)
+            assert not sup.pool.all_acked()
+            assert sup.wait_ready(30.0)
+            assert all(handle.hello_seen for handle in handles)
+
+    def test_cold_pool_sends_no_work_before_hello(self):
+        """Work waits for a worker that is up; none is duplicated onto an
+        idle peer while a slow starter is still importing."""
+        counters = Counters()
+        with TaskSupervisor(
+            2, hedge_after=0.1, counters=counters, name="test-fabric-cold"
+        ) as sup:
+            results = sup.run_tasks(_tasks("double", list(range(8))))
+        assert results == [2 * i for i in range(8)]
+        assert counters.get("fabric.hedges") == 0
+        assert counters.get("fabric.tasks_dispatched") == 8
+
+
+class TestEventLoop:
+    """The parent sleeps in select; it neither spins nor stalls on writes."""
+
+    def test_parent_sleeps_while_workers_compute(self, supervisor):
+        tasks = _tasks("sleep_ms", [150] * 6)
+        wall_start = time.perf_counter()
+        cpu_start = time.process_time()
+        results = supervisor.run_tasks(tasks, hedge=False)
+        cpu = time.process_time() - cpu_start
+        wall = time.perf_counter() - wall_start
+        assert results == [150] * 6
+        assert cpu < 0.10 * wall, (
+            f"parent used {cpu:.3f}s of CPU in {wall:.3f}s of wall clock"
+        )
+
+    def test_large_setup_reaches_workers_without_stalling(self, supervisor):
+        payload = np.arange(2 << 20, dtype=np.float64)  # 16 MiB
+        start = time.perf_counter()
+        supervisor.broadcast_setup(
+            "large", f"{TASKFNS}:setup_store", payload, wait=True,
+            timeout=30.0,
+        )
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"16 MiB setup took {elapsed:.2f}s"
+
+    def test_large_payloads_roundtrip(self, supervisor):
+        arrays = [
+            np.random.default_rng(i).standard_normal(1 << 20)  # 8 MiB
+            for i in range(4)
+        ]
+        results = supervisor.run_tasks(_tasks("echo", arrays))
+        for sent, received in zip(arrays, results):
+            assert np.array_equal(sent, received)

@@ -74,3 +74,14 @@ class TestBlasThreadCount:
             env = payload["environment"]
             assert "single_cpu_caveat" in env
             assert "cpu_count" in env
+
+
+class TestUsableCpus:
+    def test_falls_back_to_cpu_count_then_one(self, monkeypatch):
+        import repro.metrics.environment as environment
+
+        monkeypatch.delattr(environment.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(environment.os, "cpu_count", lambda: 6)
+        assert environment.usable_cpus() == 6
+        monkeypatch.setattr(environment.os, "cpu_count", lambda: None)
+        assert environment.usable_cpus() == 1
