@@ -92,6 +92,7 @@ class PTuckerApprox(PTucker):
     """P-Tucker with per-iteration truncation of noisy core entries."""
 
     name = "P-Tucker-Approx"
+    _features = frozenset({"checkpoint_dir"})
 
     def __init__(self, config: Optional[PTuckerConfig] = None) -> None:
         super().__init__(config)

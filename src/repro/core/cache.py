@@ -34,6 +34,9 @@ class PTuckerCache(PTucker):
     """P-Tucker with the Pres memoization table (Algorithm 3, cache branch)."""
 
     name = "P-Tucker-Cache"
+    # Pres rebuilt from resumed factors differs in the last ulp from the
+    # incrementally rescaled table, so a resume would not be bitwise.
+    _features = frozenset()
 
     def __init__(self, config: Optional[PTuckerConfig] = None) -> None:
         super().__init__(config)

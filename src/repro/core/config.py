@@ -101,7 +101,8 @@ class PTuckerConfig:
         manifest written last) under this directory after eligible
         iterations — see :mod:`repro.resilience.checkpoint`.  The final
         iteration is always checkpointed regardless of
-        ``checkpoint_every``.
+        ``checkpoint_every``.  P-Tucker, P-Tucker-Approx and unsampled
+        P-Tucker-Sampled support it (their resume is bitwise).
     checkpoint_every:
         Checkpoint cadence: save every N-th iteration (default 1).
     checkpoint_diff:

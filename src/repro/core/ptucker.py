@@ -50,12 +50,40 @@ class PTucker:
     """
 
     name = "P-Tucker"
+    #: Optional fit features this solver supports: ``"checkpoint_dir"``,
+    #: ``"shard_dir"`` and ``"fit_streaming"``.  :meth:`_check_features`
+    #: enforces it before any store is built or any entry is read.
+    _features = frozenset({"checkpoint_dir", "shard_dir", "fit_streaming"})
 
     def __init__(self, config: Optional[PTuckerConfig] = None) -> None:
         self.config = config if config is not None else PTuckerConfig()
 
+    def _check_features(self, streaming: bool = False) -> None:
+        """Raise :class:`ShapeError` for a requested feature this variant lacks.
+
+        The one place that decides which variant supports what.  Sharded
+        and streaming fits need the base solver, because the variants'
+        per-entry state indexes the in-RAM entry order; ``checkpoint_dir``
+        needs a resume that is bitwise-identical to an uninterrupted fit.
+        """
+        requested = {
+            "checkpoint_dir": bool(self.config.checkpoint_dir),
+            "shard_dir": bool(self.config.shard_dir),
+            "fit_streaming": streaming,
+        }
+        missing = [
+            name
+            for name, wanted in requested.items()
+            if wanted and name not in self._features
+        ]
+        if missing:
+            raise ShapeError(
+                f"{type(self).__name__} does not support {', '.join(missing)}; "
+                "use the base P-Tucker solver"
+            )
+
     # ------------------------------------------------------------------
-    # Hooks overridden by the Cache and Approx variants
+    # Hooks overridden by the Cache, Approx and Sampled variants
     # ------------------------------------------------------------------
     def _prepare(
         self,
@@ -65,6 +93,17 @@ class PTucker:
         memory: Optional[MemoryTracker],
     ) -> None:
         """Per-run initialisation hook (the cache variant builds Pres here)."""
+
+    def _update_entries(
+        self, tensor: SparseTensor, previous: Optional[SparseTensor]
+    ) -> SparseTensor:
+        """Entries the next iteration's factor updates read.
+
+        ``previous`` is the last iteration's choice (None before the first
+        one).  P-Tucker-Sampled draws its sample here; returning
+        ``previous`` itself keeps its mode contexts.
+        """
+        return tensor
 
     def _delta_provider(self, tensor: SparseTensor, factors, core, mode: int):
         """Return a δ provider for :func:`update_factor_mode`, or None."""
@@ -110,13 +149,8 @@ class PTucker:
         fitted model.  The store lands at ``config.shard_dir`` when set,
         otherwise in a temporary directory that is removed after the fit.
         """
+        self._check_features(streaming=True)
         config = self.config
-        if type(self) is not PTucker:
-            raise ShapeError(
-                "streaming ingest supports the base P-Tucker solver only, "
-                f"not {type(self).__name__} (its per-entry state indexes "
-                "the in-RAM entry order)"
-            )
         from ..shards import ShardedSweepExecutor, ShardStore
 
         def fit_at(directory: str) -> TuckerResult:
@@ -147,14 +181,9 @@ class PTucker:
         delegated to :class:`~repro.shards.executor.ShardedSweepExecutor`,
         whose streamed updates are bitwise-equal to the in-core ones.
         """
+        self._check_features()
         config = self.config
         if config.shard_dir:
-            if type(self) is not PTucker:
-                raise ShapeError(
-                    "shard_dir streaming supports the base P-Tucker solver "
-                    f"only, not {type(self).__name__} (its per-entry state "
-                    "indexes the in-RAM entry order)"
-                )
             from ..shards import ShardedSweepExecutor, ShardStore
 
             store = ShardStore.for_tensor(
@@ -167,10 +196,32 @@ class PTucker:
                 store, backend=config.backend, block_size=config.block_size
             )
             return executor.fit(config)
-        ranks = config.resolve_ranks(tensor.order)
+        return self._fit_als(tensor)
+
+    def _fit_als(self, tensor: Optional[SparseTensor], executor=None) -> TuckerResult:
+        """The one ALS loop (Algorithm 2) behind every P-Tucker fit.
+
+        It runs over ``tensor`` in RAM or, with ``executor`` (a
+        :class:`~repro.shards.executor.ShardedSweepExecutor`), over its
+        shard store.  Four things vary between the two: how one mode is
+        updated and its row counts read (a :class:`ModeContext` in RAM, the
+        store's ``mode_segmentation``), where the residual pass reads its
+        entries, the checkpoint digest inputs with the backend and block
+        size (the executor's own out of core), and the variant hooks, which
+        only the in-RAM path passes a tensor to.
+        """
+        config = self.config
+        if executor is None:
+            source, store = tensor, None
+            backend, block_size = config.backend, config.block_size
+        else:
+            source = store = executor.store
+            backend, block_size = executor.backend, executor.block_size
+        order = len(source.shape)
+        ranks = config.resolve_ranks(order)
         rng = np.random.default_rng(config.seed)
 
-        factors = initialize_factors(tensor.shape, ranks, rng)
+        factors = initialize_factors(source.shape, ranks, rng)
         core = initialize_core(ranks, rng)
 
         memory = (
@@ -181,9 +232,13 @@ class PTucker:
         scheduler = RowScheduler(
             n_threads=config.threads, scheduling=config.scheduling
         )
-        contexts: List[ModeContext] = build_all_mode_contexts(
-            tensor, index_dtype=config.index_dtype
-        )
+        entries: Optional[SparseTensor] = None
+        contexts: List[Optional[ModeContext]] = [None] * order
+        if store is None:
+            entries = self._update_entries(tensor, None)
+            contexts = build_all_mode_contexts(
+                entries, index_dtype=config.index_dtype
+            )
         trace = ConvergenceTrace()
         timer = IterationTimer()
 
@@ -204,15 +259,19 @@ class PTucker:
                 diff=config.checkpoint_diff,
             )
             digest = fit_state_digest(
-                shape=tensor.shape,
-                nnz=tensor.nnz,
+                shape=source.shape,
+                nnz=source.nnz,
                 ranks=ranks,
                 regularization=config.regularization,
                 seed=config.seed,
                 orthogonalize=config.orthogonalize,
-                backend=config.backend,
-                block_size=config.block_size,
-                entries_sha256=_tensor_digest(tensor),
+                backend=backend,
+                block_size=block_size,
+                entries_sha256=(
+                    _tensor_digest(tensor)
+                    if store is None
+                    else store.fingerprint.get("entries_sha256")
+                ),
             )
             resumed = resume_state(checkpoints, config.resume, digest)
             if resumed is not None:
@@ -233,28 +292,46 @@ class PTucker:
             if trace.converged:
                 break  # a resumed checkpoint already recorded convergence
             with timer.iteration():
-                for mode in range(tensor.order):
+                if store is None and iteration > start_iteration:
+                    chosen = self._update_entries(tensor, entries)
+                    if chosen is not entries:
+                        entries = chosen
+                        contexts = build_all_mode_contexts(
+                            entries, index_dtype=config.index_dtype
+                        )
+                for mode in range(order):
                     previous = factors[mode].copy()
-                    provider = self._delta_provider(tensor, factors, core, mode)
                     update_factor_mode(
-                        tensor,
+                        entries,
                         factors,
                         core,
                         mode,
                         config.regularization,
                         context=contexts[mode],
-                        block_size=config.block_size,
+                        block_size=block_size,
                         memory=memory,
-                        delta_provider=provider,
-                        backend=config.backend,
+                        delta_provider=self._delta_provider(
+                            tensor, factors, core, mode
+                        ),
+                        backend=backend,
+                        source=store,
                     )
-                    scheduler.record_mode(contexts[mode].row_counts)
+                    scheduler.record_mode(
+                        store.mode_segmentation(mode)[2]
+                        if store is not None
+                        else contexts[mode].row_counts
+                    )
                     self._after_mode_update(tensor, factors, core, mode, previous)
 
                 # One residual pass yields both metrics (Eqs. 5 and 6).
-                error, loss = error_and_loss(
-                    tensor, core, factors, config.regularization
-                )
+                if store is None:
+                    error, loss = error_and_loss(
+                        tensor, core, factors, config.regularization
+                    )
+                else:
+                    error, loss = executor.error_and_loss(
+                        core, factors, config.regularization
+                    )
                 core = self._after_iteration(tensor, factors, core, iteration)
 
             trace.add(

@@ -17,16 +17,15 @@ trade-off.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..metrics.memory import MemoryTracker
 from ..tensor.coo import SparseTensor
 from .config import PTuckerConfig
 from .ptucker import PTucker
-from .row_update import build_all_mode_contexts
+from .result import TuckerResult
 
 
 class PTuckerSampled(PTucker):
@@ -57,8 +56,13 @@ class PTuckerSampled(PTucker):
             raise ShapeError("sample_fraction must be in (0, 1]")
         self.sample_fraction = float(sample_fraction)
         self.resample_each_iteration = bool(resample_each_iteration)
-        self._full_tensor: Optional[SparseTensor] = None
         self._sample_rng: Optional[np.random.Generator] = None
+
+    @property
+    def _features(self) -> frozenset:
+        # The sample RNG is not checkpointed, so only the unsampled solver
+        # resumes bitwise; the sample indexes the in-RAM entry order.
+        return frozenset({"checkpoint_dir"} if self.sample_fraction >= 1.0 else ())
 
     # ------------------------------------------------------------------
     def _draw_sample(self, tensor: SparseTensor) -> SparseTensor:
@@ -70,95 +74,20 @@ class PTuckerSampled(PTucker):
         rows = self._sample_rng.choice(tensor.nnz, size=n_keep, replace=False)
         return SparseTensor(tensor.indices[rows], tensor.values[rows], tensor.shape)
 
+    def _update_entries(
+        self, tensor: SparseTensor, previous: Optional[SparseTensor]
+    ) -> SparseTensor:
+        """Draw the first sample, then a fresh one per iteration or none."""
+        if previous is None:
+            seed = self.config.seed
+            self._sample_rng = np.random.default_rng(None if seed is None else seed + 1)
+        elif not self.resample_each_iteration:
+            return previous
+        return self._draw_sample(tensor)
+
     # ------------------------------------------------------------------
-    def fit(self, tensor: SparseTensor) -> "TuckerResult":  # noqa: F821 - see result module
+    def fit(self, tensor: SparseTensor) -> TuckerResult:
         """Factorize ``tensor``; updates use samples, errors use all of Ω."""
-        # With no sampling the behaviour (and the code path) is exactly P-Tucker.
-        if self.sample_fraction >= 1.0:
-            return super().fit(tensor)
-
-        from ..metrics.errors import error_and_loss
-        from ..metrics.timing import IterationTimer
-        from ..parallel.scheduler import RowScheduler
-        from .core_tensor import initialize_core, initialize_factors, orthogonalize
-        from .result import TuckerResult
-        from .row_update import update_factor_mode
-        from .trace import ConvergenceTrace, IterationRecord
-
-        config = self.config
-        ranks = config.resolve_ranks(tensor.order)
-        rng = np.random.default_rng(config.seed)
-        self._sample_rng = np.random.default_rng(
-            None if config.seed is None else config.seed + 1
-        )
-
-        factors = initialize_factors(tensor.shape, ranks, rng)
-        core = initialize_core(ranks, rng)
-        memory = (
-            MemoryTracker(budget_bytes=config.memory_budget_bytes)
-            if config.track_memory
-            else None
-        )
-        scheduler = RowScheduler(n_threads=config.threads, scheduling=config.scheduling)
-        trace = ConvergenceTrace()
-        timer = IterationTimer()
-
-        sample = self._draw_sample(tensor)
-        sample_contexts = build_all_mode_contexts(sample)
-
-        for iteration in range(1, config.max_iterations + 1):
-            with timer.iteration():
-                if self.resample_each_iteration and iteration > 1:
-                    sample = self._draw_sample(tensor)
-                    sample_contexts = build_all_mode_contexts(sample)
-                for mode in range(tensor.order):
-                    update_factor_mode(
-                        sample,
-                        factors,
-                        core,
-                        mode,
-                        config.regularization,
-                        context=sample_contexts[mode],
-                        block_size=config.block_size,
-                        memory=memory,
-                        backend=config.backend,
-                    )
-                    scheduler.record_mode(sample_contexts[mode].row_counts)
-                error, loss = error_and_loss(
-                    tensor, core, factors, config.regularization
-                )
-
-            trace.add(
-                IterationRecord(
-                    iteration=iteration,
-                    reconstruction_error=error,
-                    loss=loss,
-                    seconds=timer.seconds[-1],
-                    core_nnz=int(np.count_nonzero(core)),
-                )
-            )
-            if (
-                iteration >= config.min_iterations
-                and trace.relative_change() < config.tolerance
-            ):
-                trace.converged = True
-                trace.stop_reason = (
-                    f"relative error change below tolerance {config.tolerance}"
-                )
-                break
-        else:
-            trace.stop_reason = f"reached max_iterations={config.max_iterations}"
-
-        if config.orthogonalize:
-            factors, core = orthogonalize(factors, core)
-
-        result = TuckerResult(
-            core=core,
-            factors=list(factors),
-            trace=trace,
-            memory=memory,
-            algorithm=self.name,
-        )
-        result.scheduler = scheduler  # type: ignore[attr-defined]
+        result = super().fit(tensor)
         result.sample_fraction = self.sample_fraction  # type: ignore[attr-defined]
         return result

@@ -21,8 +21,8 @@ disjoint row ranges.  This package provides the two pieces:
   kernel backend (``numpy`` / ``threaded`` / ``numba`` / ``auto``), and
   merges the per-row results — bitwise-equal to the in-core sweep, with a
   resident working set bounded by ``block_size`` instead of nnz.  Its
-  :meth:`~repro.shards.executor.ShardedSweepExecutor.fit` runs the whole
-  P-Tucker loop out of core.
+  :meth:`~repro.shards.executor.ShardedSweepExecutor.fit` runs P-Tucker's
+  one ALS loop out of core.
 * :mod:`~repro.shards.merge` — the external-memory build behind
   :meth:`~repro.shards.store.ShardStore.build_streaming`: chunks from any
   entry reader (:mod:`repro.tensor.io`) are spilled as per-mode sorted

@@ -55,6 +55,25 @@ class TestBehaviour:
         assert result.sample_fraction == pytest.approx(0.3)
         assert result.algorithm == "P-Tucker-Sampled"
 
+    def test_fixed_sample_updates_like_ptucker_on_the_sample(self, planted_small):
+        """A fixed sample is plain P-Tucker's trajectory on that sample."""
+        from repro.tensor import SparseTensor
+
+        tensor = planted_small.tensor
+        fraction = 0.4
+        config = PTuckerConfig(ranks=(3, 3, 3), max_iterations=4, seed=5, tolerance=0.0)
+        rows = np.random.default_rng(config.seed + 1).choice(
+            tensor.nnz, round(fraction * tensor.nnz), replace=False
+        )
+        sample = SparseTensor(tensor.indices[rows], tensor.values[rows], tensor.shape)
+        expected = PTucker(config).fit(sample)
+        result = PTuckerSampled(
+            config, sample_fraction=fraction, resample_each_iteration=False
+        ).fit(tensor)
+        assert result.core.tobytes() == expected.core.tobytes()
+        for mine, theirs in zip(result.factors, expected.factors):
+            assert mine.tobytes() == theirs.tobytes()
+
     def test_fixed_sample_mode(self, planted_small):
         config = PTuckerConfig(ranks=(3, 3, 3), max_iterations=4, seed=0, tolerance=0.0)
         result = PTuckerSampled(

@@ -175,7 +175,7 @@ def test_procpool_beats_threaded_on_multicore():
         shape=(300, 300, 300),
         ranks=(8, 8, 8),
         nnz=400_000,
-        noise=0.01,
+        noise_level=0.01,
         seed=0,
     )
     tensor = problem.tensor

@@ -26,6 +26,15 @@ def _assert_models_bitwise_equal(result, reference):
         assert mine.tobytes() == theirs.tobytes()
 
 
+#: Both entry paths into the one ALS loop: the in-RAM tensor and a
+#: shard store (``shard_dir``), so resume is covered from each caller.
+entry_paths = pytest.mark.parametrize("path", ["incore", "sharded"])
+
+
+def _via(path, tmp_path) -> dict:
+    return {"shard_dir": str(tmp_path / "shards")} if path == "sharded" else {}
+
+
 def _sample_trace() -> ConvergenceTrace:
     trace = ConvergenceTrace()
     trace.add(
@@ -144,54 +153,83 @@ class TestCheckpointManager:
 
 
 class TestFitResume:
+    @entry_paths
     def test_resume_is_bitwise_identical_to_uninterrupted(
-        self, planted_small, tmp_path
+        self, planted_small, tmp_path, path
     ):
         tensor = planted_small.tensor
-        reference = _fit(tensor)
+        via = _via(path, tmp_path)
+        reference = _fit(tensor, **via)
 
         ckpt = str(tmp_path / "ckpt")
-        _fit(tensor, max_iterations=3, checkpoint_dir=ckpt)
+        _fit(tensor, max_iterations=3, checkpoint_dir=ckpt, **via)
         # Canary: resume must re-enter at iteration 4, leaving the early
         # checkpoints untouched (a from-scratch refit would rewrite them).
         canary = os.path.join(ckpt, "iter0000001", "canary")
         open(canary, "w").close()
 
-        resumed = _fit(tensor, checkpoint_dir=ckpt, resume=True)
+        resumed = _fit(tensor, checkpoint_dir=ckpt, resume=True, **via)
         _assert_models_bitwise_equal(resumed, reference)
         assert os.path.exists(canary)
         assert len(resumed.trace.records) == 6
         assert CheckpointManager(ckpt).latest_iteration() == 6
 
-    def test_resume_of_finished_fit_is_a_no_op(self, planted_small, tmp_path):
+    @entry_paths
+    def test_resume_of_finished_fit_is_a_no_op(self, planted_small, tmp_path, path):
         tensor = planted_small.tensor
+        via = _via(path, tmp_path)
         ckpt = str(tmp_path / "ckpt")
-        reference = _fit(tensor, checkpoint_dir=ckpt)
-        again = _fit(tensor, checkpoint_dir=ckpt, resume=True)
+        reference = _fit(tensor, checkpoint_dir=ckpt, **via)
+        again = _fit(tensor, checkpoint_dir=ckpt, resume=True, **via)
         _assert_models_bitwise_equal(again, reference)
         assert len(again.trace.records) == 6
 
+    @entry_paths
     def test_resume_after_convergence_keeps_verdict(
-        self, planted_small, tmp_path
+        self, planted_small, tmp_path, path
     ):
         """A checkpoint that already recorded convergence stops immediately."""
         tensor = planted_small.tensor
+        via = _via(path, tmp_path)
         ckpt = str(tmp_path / "ckpt")
-        first = _fit(tensor, checkpoint_dir=ckpt, tolerance=0.5)
+        first = _fit(tensor, checkpoint_dir=ckpt, tolerance=0.5, **via)
         assert first.trace.converged
         again = _fit(
-            tensor, checkpoint_dir=ckpt, resume=True, tolerance=0.5
+            tensor, checkpoint_dir=ckpt, resume=True, tolerance=0.5, **via
         )
         _assert_models_bitwise_equal(again, first)
         assert again.trace.converged
         assert len(again.trace.records) == len(first.trace.records)
 
-    def test_checkpoint_every_cadence(self, planted_small, tmp_path):
+    @entry_paths
+    def test_checkpoint_every_cadence(self, planted_small, tmp_path, path):
         tensor = planted_small.tensor
         ckpt = str(tmp_path / "ckpt")
-        _fit(tensor, max_iterations=5, checkpoint_dir=ckpt, checkpoint_every=2)
+        _fit(
+            tensor,
+            max_iterations=5,
+            checkpoint_dir=ckpt,
+            checkpoint_every=2,
+            **_via(path, tmp_path),
+        )
         # Every 2nd iteration plus the forced final one.
         assert CheckpointManager(ckpt).iterations() == [2, 4, 5]
+
+    def test_approx_resume_is_bitwise_identical(self, planted_small, tmp_path):
+        """Approx keeps ``checkpoint_dir``: its truncation reads only the
+        checkpointed factors and core, so resuming loses no bit."""
+        from repro.core import PTuckerApprox
+
+        def fit(**overrides):
+            settings = dict(ranks=(3, 3, 3), max_iterations=4, tolerance=0.0, seed=0)
+            settings.update(overrides)
+            return PTuckerApprox(PTuckerConfig(**settings)).fit(planted_small.tensor)
+
+        reference = fit()
+        ckpt = str(tmp_path / "ckpt")
+        fit(max_iterations=2, checkpoint_dir=ckpt)
+        resumed = fit(checkpoint_dir=ckpt, resume=True)
+        _assert_models_bitwise_equal(resumed, reference)
 
     def test_sharded_fit_resume_is_bitwise_identical(
         self, planted_small, tmp_path

@@ -10,7 +10,13 @@ smaller than a single row segment.
 import numpy as np
 import pytest
 
-from repro.core import PTucker, PTuckerCache, PTuckerConfig
+from repro.core import (
+    PTucker,
+    PTuckerApprox,
+    PTuckerCache,
+    PTuckerConfig,
+    PTuckerSampled,
+)
 from repro.core.core_tensor import initialize_core, initialize_factors
 from repro.core.row_update import update_factor_mode
 from repro.data import random_sparse_tensor
@@ -162,13 +168,38 @@ def test_config_shard_dir_routes_fit_through_store(tmp_path):
     np.testing.assert_array_equal(again.core, via_config.core)
 
 
-def test_shard_dir_rejected_for_solver_variants(tmp_path):
+@pytest.mark.parametrize(
+    "variant,field",
+    [
+        ("cache", "shard_dir"),
+        ("cache", "checkpoint_dir"),
+        ("approx", "shard_dir"),
+        ("sampled", "shard_dir"),
+        ("sampled", "checkpoint_dir"),
+        ("unsampled", "shard_dir"),
+    ],
+)
+def test_shard_dir_rejected_for_solver_variants(tmp_path, variant, field):
+    """Unsupported features fail before any store or checkpoint is written.
+
+    Cache's resume is not bitwise (its Pres table is rebuilt from the
+    resumed factors) and Sampled's sample RNG is not checkpointed; shard
+    stores serve the base solver only.
+    """
+    directory = tmp_path / "dir"
     config = PTuckerConfig(
-        ranks=(2, 2, 2), max_iterations=1, shard_dir=str(tmp_path / "s")
+        ranks=(2, 2, 2), max_iterations=1, **{field: str(directory)}
     )
+    solver = {
+        "cache": lambda: PTuckerCache(config),
+        "approx": lambda: PTuckerApprox(config),
+        "sampled": lambda: PTuckerSampled(config, sample_fraction=0.5),
+        "unsampled": lambda: PTuckerSampled(config, sample_fraction=1.0),
+    }[variant]()
     tensor, _, _ = _problem((8, 7, 6), (2, 2, 2), nnz=100)
     with pytest.raises(ShapeError):
-        PTuckerCache(config).fit(tensor)
+        solver.fit(tensor)
+    assert not directory.exists()
 
 
 def test_source_conflicts_are_rejected(tmp_path):
