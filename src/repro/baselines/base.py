@@ -22,7 +22,7 @@ import numpy as np
 from ..core.config import PTuckerConfig
 from ..core.result import TuckerResult
 from ..core.trace import ConvergenceTrace, IterationRecord
-from ..metrics.errors import reconstruction_error, regularized_loss
+from ..metrics.errors import error_and_loss
 from ..metrics.memory import MemoryTracker
 from ..metrics.timing import IterationTimer
 from ..tensor.coo import SparseTensor
@@ -148,8 +148,9 @@ class HooiBaseline:
                             f"{self.name}-mode-{mode}",
                         )
                 core = self._core_from_factors(tensor, factors)
-                error = reconstruction_error(tensor, core, factors)
-                loss = regularized_loss(tensor, core, factors, config.regularization)
+                error, loss = error_and_loss(
+                    tensor, core, factors, config.regularization
+                )
 
             trace.add(
                 IterationRecord(

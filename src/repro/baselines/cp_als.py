@@ -18,7 +18,7 @@ import numpy as np
 from ..core.config import PTuckerConfig
 from ..core.result import TuckerResult
 from ..core.trace import ConvergenceTrace, IterationRecord
-from ..metrics.errors import reconstruction_error, regularized_loss
+from ..metrics.errors import error_and_loss
 from ..metrics.timing import IterationTimer
 from ..tensor.coo import SparseTensor
 
@@ -96,8 +96,9 @@ class CpAls:
                     weights = weights * norms
 
                 core = self._cp_core(rank, tensor.order, weights)
-                error = reconstruction_error(tensor, core, factors)
-                loss = regularized_loss(tensor, core, factors, config.regularization)
+                error, loss = error_and_loss(
+                    tensor, core, factors, config.regularization
+                )
 
             trace.add(
                 IterationRecord(

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.config import PTuckerConfig
 from ..core.result import TuckerResult
 from ..core.trace import ConvergenceTrace, IterationRecord
-from ..metrics.errors import reconstruction_error, regularized_loss
+from ..metrics.errors import error_and_loss
 from ..metrics.memory import BYTES_PER_FLOAT, MemoryTracker
 from ..metrics.timing import IterationTimer
 from ..tensor.coo import SparseTensor
@@ -134,8 +134,9 @@ class TuckerWopt:
                 if improved:
                     core, factors = new_core, new_factors
                     step *= 1.2
-                error = reconstruction_error(tensor, core, factors)
-                loss = regularized_loss(tensor, core, factors, config.regularization)
+                error, loss = error_and_loss(
+                    tensor, core, factors, config.regularization
+                )
 
             trace.add(
                 IterationRecord(

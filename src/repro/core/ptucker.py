@@ -6,6 +6,12 @@ reconstruction error over the observed entries only (Eq. 5), and stops when
 the error converges or the iteration cap is hit.  A final QR pass makes the
 factors orthogonal and folds the R factors into the core (Eqs. 7-8).
 
+The error needs no pass of its own: the last mode's update returns the
+squared residual from the normal equations it already built
+(:func:`~repro.core.row_update.update_factor_mode`).  A residual pass over
+every entry (:func:`~repro.metrics.errors.error_and_loss`) runs only where
+that value does not describe the whole tensor or is unreliable.
+
 The memory-optimised default keeps only the per-row workspace (δ, B, c and the
 inverse) as intermediate data — O(T·J²), Theorem 4 — which is what lets it
 scale where the HOOI-style baselines run out of memory.
@@ -18,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..metrics.errors import error_and_loss
+from ..metrics.errors import error_and_loss, regularization_penalty
 from ..metrics.memory import MemoryTracker
 from ..metrics.timing import IterationTimer
 from ..parallel.scheduler import RowScheduler
@@ -205,10 +211,17 @@ class PTucker:
         :class:`~repro.shards.executor.ShardedSweepExecutor`), over its
         shard store.  Four things vary between the two: how one mode is
         updated and its row counts read (a :class:`ModeContext` in RAM, the
-        store's ``mode_segmentation``), where the residual pass reads its
-        entries, the checkpoint digest inputs with the backend and block
-        size (the executor's own out of core), and the variant hooks, which
-        only the in-RAM path passes a tensor to.
+        store's ``mode_segmentation``), where the fallback residual pass
+        reads its entries, the checkpoint digest inputs with the backend
+        and block size (the executor's own out of core), and the variant
+        hooks, which only the in-RAM path passes a tensor to.
+
+        Each iteration's error and loss (Eqs. 5 and 6) come from the
+        squared residual the last mode's update returns.  The residual
+        pass runs instead when that update read only a sample of the
+        entries (P-Tucker-Sampled below 1.0) or returned NaN (too little
+        residual left for the identity to be exact enough, or a
+        non-finite model).
         """
         config = self.config
         if executor is None:
@@ -301,7 +314,7 @@ class PTucker:
                         )
                 for mode in range(order):
                     previous = factors[mode].copy()
-                    update_factor_mode(
+                    squared = update_factor_mode(
                         entries,
                         factors,
                         core,
@@ -323,8 +336,16 @@ class PTucker:
                     )
                     self._after_mode_update(tensor, factors, core, mode, previous)
 
-                # One residual pass yields both metrics (Eqs. 5 and 6).
-                if store is None:
+                # The last update's squared residual yields both metrics
+                # (Eqs. 5 and 6) when it covers every entry and is finite.
+                if (store is not None or entries is tensor) and np.isfinite(
+                    squared
+                ):
+                    error = float(np.sqrt(squared))
+                    loss = squared + regularization_penalty(
+                        factors, config.regularization
+                    )
+                elif store is None:
                     error, loss = error_and_loss(
                         tensor, core, factors, config.regularization
                     )

@@ -34,6 +34,14 @@ reads each mode-sorted chunk through it.  Because the blocks carry the same
 data at the same boundaries, the streamed update is bitwise-equal to the
 in-core one.
 
+The update also returns the squared residual Σ_Ω (x − x̂)² of the model it
+leaves behind, without re-contracting any entry: δ does not depend on the
+factor being solved, so for every row ``Σ (x − a·δ)² = Σ x² − a·(2c − B a)``
+holds for any new row ``a``.  This is the observed-entry form of the norm
+identity of Bader & Kolda, *Efficient MATLAB computations with sparse and
+factored tensors* (SISC 2007); the ALS driver takes each iteration's error
+from its last mode's update.
+
 The seed kernel — a running Kronecker product against the unfolded core plus
 ``np.add.at`` scatter accumulation — is kept available as
 ``update_factor_mode(..., kernel="kron")`` so the microbenchmarks can record
@@ -62,6 +70,13 @@ from ..kernels.backends import BackendSpec
 from ..metrics.memory import BYTES_PER_FLOAT, MemoryTracker
 from ..tensor.coo import SparseTensor
 from .config import DEFAULT_BLOCK_SIZE
+
+#: Smallest share of Σx² that :func:`update_factor_mode` reports as the
+#: squared residual.  The identity subtracts two numbers close to Σx² when
+#: the model explains almost everything; below this share the rounding
+#: left in the difference could reach a convergence tolerance, so the
+#: update returns NaN and the caller re-evaluates the residuals directly.
+RESIDUAL_IDENTITY_FLOOR = 1e-6
 
 
 @dataclass
@@ -235,8 +250,14 @@ def update_factor_mode(
     kernel: str = "contracted",
     backend: BackendSpec = "numpy",
     source=None,
-) -> np.ndarray:
-    """Update every row of factor matrix ``A^(mode)`` in place and return it.
+) -> float:
+    """Update every row of factor matrix ``A^(mode)`` in place.
+
+    Returns the squared residual ``Σ (x − x̂)²`` over the entries the
+    update read, of the model with the updated factor, from the normal
+    equations already built (see the module docstring).  It is NaN when
+    it falls below ``RESIDUAL_IDENTITY_FLOOR · Σ x²``, where cancellation
+    could make it unreliable.
 
     ``delta_provider`` allows the cache variant to substitute its own δ
     computation: it is called as ``delta_provider(entry_positions, mode)``
@@ -304,7 +325,7 @@ def update_factor_mode(
 
     n_listed_rows = row_ids.shape[0]
     if n_listed_rows == 0:
-        return factor
+        return 0.0
 
     if use_legacy:
         # Map every sorted entry to the position of its row in ctx.row_ids
@@ -326,9 +347,16 @@ def update_factor_mode(
         ne_kernel = kernel_backend.make_normal_equations_kernel(
             factors, core, mode, n_entries
         )
+    squared_values = 0.0
     for start in range(0, n_entries, block_size):
         stop = min(start + block_size, n_entries)
         block_slice = slice(start, stop)
+        if source is not None:
+            indices_block, values_block = source.read_mode_block(mode, start, stop)
+        else:
+            indices_block = ctx.sorted_indices[block_slice]
+            values_block = ctx.sorted_values[block_slice]
+        squared_values += float(np.sum(values_block * values_block))
         if use_legacy:
             # The provider (cache variant) takes precedence over the seed
             # δ kernel here too, matching the contracted branch below.
@@ -336,11 +364,11 @@ def update_factor_mode(
                 deltas = delta_provider(ctx.perm[block_slice], mode)
             else:
                 deltas = compute_delta_block(
-                    ctx.sorted_indices[block_slice], factors, core_unfolded, mode
+                    indices_block, factors, core_unfolded, mode
                 )
             partial_b, partial_c = accumulate_normal_equations(
                 deltas,
-                ctx.sorted_values[block_slice],
+                values_block,
                 segment_of_entry[block_slice],
                 n_listed_rows,
             )
@@ -359,16 +387,9 @@ def update_factor_mode(
             if delta_provider is not None:
                 deltas = delta_provider(ctx.perm[block_slice], mode)
                 partial_b, partial_c = kernel_backend.normal_equations_sorted(
-                    deltas, ctx.sorted_values[block_slice], local_starts
+                    deltas, values_block, local_starts
                 )
             else:
-                if source is not None:
-                    indices_block, values_block = source.read_mode_block(
-                        mode, start, stop
-                    )
-                else:
-                    indices_block = ctx.sorted_indices[block_slice]
-                    values_block = ctx.sorted_values[block_slice]
                 partial_b, partial_c = ne_kernel(
                     indices_block, values_block, local_starts
                 )
@@ -380,7 +401,14 @@ def update_factor_mode(
 
     if memory is not None:
         memory.release((2 * rank * rank + 2 * rank) * BYTES_PER_FLOAT, "row-update")
-    return factor
+    # Σ (x − a·δ)² = Σ x² − Σ_rows (2·a·c − aᵀ B a), for any solved a.
+    explained = 2.0 * float(np.sum(new_rows * c_vectors)) - float(
+        np.einsum("rj,rjk,rk->", new_rows, b_matrices, new_rows)
+    )
+    squared = squared_values - explained
+    if squared < RESIDUAL_IDENTITY_FLOOR * squared_values:
+        return float("nan")
+    return squared
 
 
 def brute_force_row_update(

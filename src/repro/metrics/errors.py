@@ -7,11 +7,16 @@
   set of observed entries (Figure 11, right panel).
 * :func:`regularized_loss` — the full objective of Eq. (6), used by the
   convergence tests (Theorem 2 asserts it is monotonically non-increasing).
-* :func:`error_and_loss` — Eqs. (5) and (6) from a single residual pass, so
-  a solver iteration reconstructs the observed entries exactly once.
+* :func:`error_and_loss` — Eqs. (5) and (6) from a single residual pass.
+  P-Tucker's fit loop takes its metrics from the last mode's normal
+  equations instead (:func:`repro.core.row_update.update_factor_mode`
+  returns the squared residual) and runs this pass only as the fallback
+  where that value is unreliable; the baselines run it every iteration.
 * :func:`error_and_loss_stream` — the same metrics over a *stream* of
   entry blocks, so an out-of-core fit never materialises the residual
   vector (the sharded executor feeds it shard-store blocks).
+* :func:`regularization_penalty` — the L2 term of Eq. (6), shared by the
+  residual pass and the fit loop.
 * :func:`fit` — the conventional "fit" score ``1 - ||residual|| / ||X||``.
 """
 
@@ -119,10 +124,18 @@ def error_and_loss_stream(
             indices_block
         )
         squared += float(np.sum(res * res))
-    penalty = (
-        sum(float(np.sum(np.square(f))) for f in factors) if regularization else 0.0
+    return float(np.sqrt(squared)), squared + regularization_penalty(
+        factors, regularization
     )
-    return float(np.sqrt(squared)), squared + regularization * penalty
+
+
+def regularization_penalty(
+    factors: Sequence[np.ndarray], regularization: float
+) -> float:
+    """The L2 term of Eq. (6): ``λ · Σ_n ‖A^(n)‖²_F`` (0 when λ is 0)."""
+    if not regularization:
+        return 0.0
+    return regularization * sum(float(np.sum(np.square(f))) for f in factors)
 
 
 def fit(

@@ -20,18 +20,18 @@ per-row ``(B, c)`` stacks) is resident.
 
 :meth:`ShardedSweepExecutor.fit` runs P-Tucker's one ALS loop (Algorithm 2,
 :meth:`repro.core.ptucker.PTucker.fit`) against the store — per-mode
-streamed updates, a streamed residual pass for the convergence metrics, and
-the final orthogonalisation — without ever materialising the tensor, so
-|Omega| is bounded by disk, not RAM.
+streamed updates, the convergence metrics taken from the last mode's
+normal equations, and the final orthogonalisation — without ever
+materialising the tensor, so |Omega| is bounded by disk, not RAM.
 
-One scoping note on the bitwise contract: the *convergence metric* is
-accumulated over the store's canonical (mode-0 sorted) entry order.  When
-the original tensor's entry order differs and ``tolerance > 0``, the
-error's last ulp can differ from the in-core fit's, so the stopping
-decision could in principle flip on an exact tie with the threshold; the
-factor updates themselves are bitwise-equal regardless, and with
-``tolerance=0`` (or a tensor already in canonical order) the entire fit
-is bitwise-equal — which is what the equivalence tests pin down.
+The convergence metric follows the same bitwise contract: the last mode's
+update reduces its squared residual over the same mode-sorted blocks in
+RAM and on disk, so in-core and streamed fits report bitwise-equal errors
+and stop at the same iteration on any entry order.  Only the fallback
+residual pass (:meth:`ShardedSweepExecutor.error_and_loss`, run when a
+near-exact fit leaves too little residual for the identity) reads the
+store's canonical mode-0 order, whose last ulp can differ from an in-core
+pass over a differently ordered tensor.
 """
 
 from __future__ import annotations
@@ -92,8 +92,12 @@ class ShardedSweepExecutor:
         mode: int,
         regularization: float,
         memory: Optional[MemoryTracker] = None,
-    ) -> np.ndarray:
-        """Update ``A^(mode)`` in place from the store's streamed shards."""
+    ) -> float:
+        """Update ``A^(mode)`` in place from the store's streamed shards.
+
+        Returns the post-update squared residual over the whole store (or
+        NaN), exactly as :func:`~repro.core.row_update.update_factor_mode`.
+        """
         return update_factor_mode(
             None,
             factors,
@@ -126,7 +130,8 @@ class ShardedSweepExecutor:
     ) -> tuple:
         """Streamed reconstruction error (Eq. 5) and loss (Eq. 6).
 
-        Residuals are evaluated over the store's canonical entry order (the
+        The fit's fallback residual pass (see :meth:`fit`).  Residuals
+        are evaluated over the store's canonical entry order (the
         mode-0 sorted sequence) in the same
         :data:`~repro.metrics.errors.RECONSTRUCT_BLOCK_SIZE` chunks the
         in-core metric uses, so on a tensor stored in that order the values
@@ -147,7 +152,8 @@ class ShardedSweepExecutor:
 
         Runs the one ALS loop of :class:`~repro.core.ptucker.PTucker`
         over the store — same seeded initialisation, per-mode row updates,
-        one streamed residual pass per iteration (:meth:`error_and_loss`),
+        error and loss from the last mode's update (a streamed residual pass,
+        :meth:`error_and_loss`, only where that value is unreliable),
         the same convergence rule and the final QR orthogonalisation — with
         every entry access streamed from disk.  The executor's ``backend``
         and ``block_size`` govern the kernels and the checkpoint digest

@@ -17,6 +17,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..columns import index_dtype_for_dim
 from ..exceptions import ShapeError
 from .validation import check_indices, check_shape, check_values
 
@@ -210,12 +211,17 @@ class SparseTensor:
         """Return a permutation sorting entries by their ``mode`` index.
 
         The permutation is cached per mode; the row-update kernel calls this
-        once per mode per iteration.
+        once per mode per iteration.  The keys are the column cast to its
+        narrowest dtype (the :mod:`repro.columns` rule): a stable sort of
+        the same key values gives the same permutation, and NumPy radix
+        sorts 1- and 2-byte keys instead of merge sorting a strided int64
+        column.
         """
         if mode not in self._mode_sorted_cache:
-            self._mode_sorted_cache[mode] = np.argsort(
-                self.indices[:, mode], kind="stable"
+            keys = self.indices[:, mode].astype(
+                index_dtype_for_dim(self.shape[mode])
             )
+            self._mode_sorted_cache[mode] = np.argsort(keys, kind="stable")
         return self._mode_sorted_cache[mode]
 
     def clear_caches(self) -> None:

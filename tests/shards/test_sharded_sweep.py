@@ -117,9 +117,9 @@ def test_full_fit_bitwise_equal_on_canonical_order(shape, ranks, tmp_path):
 
 
 def test_full_fit_bitwise_equal_on_unsorted_tensor(tmp_path):
-    """With convergence disabled, factor updates match bit for bit even when
-    the tensor's entry order differs from the store's canonical order (only
-    the error reduction order differs, and it decides nothing)."""
+    """Factor updates and errors match bit for bit even when the tensor's
+    entry order differs from the store's canonical order: both fits take
+    the error from the last mode's update, over the same sorted blocks."""
     tensor, _, _ = _problem((16, 12, 10, 8), (2, 2, 3, 2), nnz=800, seed=11)
     store = ShardStore.build(tensor, tmp_path / "s", shard_nnz=111)
     config = PTuckerConfig(
@@ -127,6 +127,25 @@ def test_full_fit_bitwise_equal_on_unsorted_tensor(tmp_path):
     )
     incore = PTucker(config).fit(tensor)
     streamed = ShardedSweepExecutor(store).fit(config)
+    np.testing.assert_array_equal(streamed.core, incore.core)
+    for mine, reference in zip(streamed.factors, incore.factors):
+        np.testing.assert_array_equal(mine, reference)
+    assert streamed.trace.errors == incore.trace.errors
+
+
+def test_converging_fit_stops_at_same_iteration_on_unsorted_tensor(tmp_path):
+    """With a tolerance the stopping decision reads the error, so bitwise
+    errors make an unsorted tensor stop where its store does."""
+    tensor, _, _ = _problem((16, 12, 10, 8), (2, 2, 3, 2), nnz=800, seed=11)
+    store = ShardStore.build(tensor, tmp_path / "s", shard_nnz=111)
+    config = PTuckerConfig(
+        ranks=(2, 2, 3, 2), max_iterations=30, seed=0, tolerance=0.05
+    )
+    incore = PTucker(config).fit(tensor)
+    streamed = ShardedSweepExecutor(store).fit(config)
+    assert incore.trace.converged and incore.trace.n_iterations < 30
+    assert streamed.trace.errors == incore.trace.errors
+    assert streamed.trace.stop_reason == incore.trace.stop_reason
     np.testing.assert_array_equal(streamed.core, incore.core)
     for mine, reference in zip(streamed.factors, incore.factors):
         np.testing.assert_array_equal(mine, reference)

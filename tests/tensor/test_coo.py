@@ -107,6 +107,20 @@ class TestReorganisation:
             column = small_sparse_tensor.indices[perm, mode]
             assert np.all(np.diff(column) >= 0)
 
+    @pytest.mark.parametrize(
+        "dim", [1, 2, 255, 256, 257, 65535, 65536, 65537]
+    )
+    def test_sort_by_mode_matches_int64_stable_argsort(self, dim):
+        """Sorting the narrowed column keeps the int64 stable permutation,
+        on both sides of every dtype boundary, with many duplicate keys."""
+        rng = np.random.default_rng(dim)
+        keys = np.unique(np.r_[0, dim - 1, rng.integers(0, dim, size=40)])
+        column = rng.choice(keys, size=3000)
+        indices = np.stack([column, rng.integers(0, 3, size=3000)], axis=1)
+        tensor = SparseTensor(indices, rng.random(3000), shape=(dim, 3))
+        expected = np.argsort(indices[:, 0].astype(np.int64), kind="stable")
+        np.testing.assert_array_equal(tensor.sort_by_mode(0), expected)
+
     def test_mode_slice_matches_mask(self, small_sparse_tensor):
         sliced = small_sparse_tensor.mode_slice(0, 1)
         assert sliced.nnz == 2
